@@ -193,7 +193,7 @@ int DdlDriver(Fixture& fx, Mode mode, WorldLatch* world,
     if (mode == Mode::kStopTheWorld) {
       world->LockExclusive();
     }
-    const std::string attr = "X" + std::to_string(waves);
+    const std::string attr = std::string("X").append(std::to_string(waves));
     const bool ok =
         fx.db.AddAttribute(fx.part, WeakAttr(attr, "integer")).ok() &&
         fx.db.DropAttribute(fx.part, attr).ok();

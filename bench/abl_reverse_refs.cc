@@ -21,8 +21,8 @@ namespace {
 
 /// The rejected design: find parents of `target` by scanning all instances
 /// of the (only) referencing class and testing their forward references.
-std::vector<Uid> ParentsByScan(Database& db, const CorpusWorkload& corpus,
-                               Uid target, const std::string& attribute,
+std::vector<Uid> ParentsByScan(Database& db, Uid target,
+                               const std::string& attribute,
                                ClassId referencing_class) {
   std::vector<Uid> parents;
   for (Uid holder : db.objects().InstancesOf(referencing_class)) {
@@ -42,7 +42,7 @@ void PrintScenario() {
                                       /*share_pct=*/25);
   const Uid target = corpus.sections.front();
   auto fast = ParentsOf(db.objects(), target);
-  auto slow = ParentsByScan(db, corpus, target, "Sections", corpus.document);
+  auto slow = ParentsByScan(db, target, "Sections", corpus.document);
   std::printf("=== ABL-1: reverse references stored in components ===\n");
   std::printf("corpus: %zu documents, %zu sections, %zu paragraphs\n",
               corpus.documents.size(), corpus.sections.size(),
@@ -85,7 +85,7 @@ void BM_ParentsOfViaScan(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     auto parents =
-        ParentsByScan(db, corpus, corpus.sections[i++ % corpus.sections.size()],
+        ParentsByScan(db, corpus.sections[i++ % corpus.sections.size()],
                       "Sections", corpus.document);
     benchmark::DoNotOptimize(parents);
   }

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point.  Stages:
-#   release   Release build, full test suite (latch checker compiled out)
+#   release   Release build with -Werror, full test suite (latch checker
+#             compiled out)
 #   debug     Debug build, full suite with the latch-rank checker ON
 #   tsan      ThreadSanitizer build, concurrency suites (checker ON via AUTO)
 #   asan      AddressSanitizer build, full suite + smoke benchmark
@@ -23,7 +24,9 @@ jobs="$(nproc)"
 
 if [[ "$stage" == "all" || "$stage" == "release" ]]; then
   echo "=== stage 1: Release build, full test suite ==="
-  cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
+  # The Release build is warning-free, and -Werror keeps it that way.
+  cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release \
+        -DCMAKE_CXX_FLAGS=-Werror
   cmake --build build-release -j "$jobs"
   ctest --test-dir build-release --output-on-failure -j "$jobs"
 fi
@@ -46,7 +49,9 @@ if [[ "$stage" == "all" || "$stage" == "tsan" ]]; then
   # TSan halts the process on the first report, so a pass here means zero
   # data races in everything these suites execute.  Mvcc covers the
   # lock-free read path; Snapshot covers SaveSnapshot-as-read-transaction;
-  # DdlConcurrency covers the §10 DDL-storm-vs-DML-hammer protocol.
+  # DdlConcurrency covers the §10 DDL-storm-vs-DML-hammer protocol; Cell
+  # and Rpc cover the shared retry loop on both session kinds and the
+  # server's per-connection sessions.
   # The latch checker is also ON here (AUTO under sanitizers), so these
   # suites double as a multi-threaded rank-order torture test.
   TSAN_OPTIONS="halt_on_error=1" \
@@ -82,10 +87,10 @@ if [[ "$stage" == "all" || "$stage" == "asan" ]]; then
   (cd build-asan && ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
     ./bench/abl_wal --smoke)
   # The §14 RPC front-end owns socket + thread lifecycles (accept loop,
-  # per-connection threads, Stop() join), per-cell session pools that
-  # check sessions in and out across connections, and the coalescing
-  # read/write buffers on both halves of the wire; its smoke drives all
-  # of those plus the shed/retry path under ASan.
+  # per-connection threads with their own sessions and interpreters,
+  # Stop() join) and the coalescing read/write buffers on both halves of
+  # the wire; its smoke drives all of those plus the shed/retry path
+  # under ASan.
   (cd build-asan && ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
     ./bench/abl_rpc --smoke)
 fi

@@ -29,6 +29,7 @@ Cluster::Cluster(size_t cells, uint32_t objects_per_page,
     const CellTag tag = CellTagOf(uid);
     return tag >= 1 && tag <= cells_.size() ? tag - 1 : cells_.size();
   };
+  cm_.session = SessionCounters::Resolve(metrics_);
   cm_.txn_single = &metrics_.counter("cell.txn.single");
   cm_.txn_cross = &metrics_.counter("cell.txn.cross");
   cm_.txn_cross_aborts = &metrics_.counter("cell.txn.cross_aborts");
@@ -269,14 +270,16 @@ Cluster::StatsSnapshot Cluster::Stats() {
         static_cast<int64_t>(decision_log_.current_segment()));
   }
   // The cluster's own registry (cell.* mix counters, 2PC latency, decision
-  // log, the cluster trace buffer's health) passes through unlabeled.
+  // log, ClusterSession outcomes, the cluster trace buffer's health) passes
+  // through unlabeled.
   StatsSnapshot out = metrics_.Snapshot();
   for (const auto& c : cells_) {
     const std::string label = "|cell=" + std::to_string(c->tag());
     StatsSnapshot cell = c->db().Stats();
     // Counters are rates: the cluster-wide value is the sum.  A family the
-    // cluster registry also owns (trace.*) sums in as well — the facade
-    // counts every buffer, cluster-level and per-cell.
+    // cluster registry also owns (session.*, trace.*) sums in as well — the
+    // facade counts every session path and every buffer, cluster-level and
+    // per-cell.
     for (const auto& [name, value] : cell.counters) {
       out.counters[name] += value;
     }

@@ -18,8 +18,10 @@ namespace orion {
 
 /// Cluster-level metric handles (resolved once at construction, same
 /// discipline as `EngineMetrics`): transaction mix, 2PC prepare latency,
-/// and per-cell commit counters.
+/// per-cell commit counters, and the `ClusterSession` retry outcomes.
 struct ClusterMetrics {
+  /// `session.*`, fed by every `ClusterSession::Run`.
+  SessionCounters session;
   /// Transactions whose write set stayed in one cell (fast path).
   obs::Counter* txn_single = nullptr;
   /// Transactions that committed through 2PC across >= 2 cells.

@@ -2,6 +2,7 @@
 #define ORION_CELL_CLUSTER_SESSION_H_
 
 #include <functional>
+#include <utility>
 
 #include "cell/cluster_transaction.h"
 #include "core/session.h"
@@ -9,33 +10,34 @@
 namespace orion {
 
 /// The cluster counterpart of `Session`: one per worker thread, same
-/// options, same retry contract.  `Run` brackets the closure in a
-/// `ClusterTransaction`; conflict outcomes (kDeadlock, kLockTimeout,
+/// options, same retry loop (`RunWithRetries`).  `Run` brackets the closure
+/// in a `ClusterTransaction`; conflict outcomes (kDeadlock, kLockTimeout,
 /// kSchemaConflict) from any participating cell — including a 2PC prepare
 /// refusal — abort every participant, back off, and re-run the closure.
+/// Outcomes feed the cluster's own `session.*` counters, and the
+/// `session.run` root opens on the cluster's trace buffer, so a cross-cell
+/// commit's spans — per-cell prepares, each cell's WAL wait, the decision
+/// — collect into one tree.
 ///
 /// Not thread-safe; create one per thread.  The Cluster it drives is.
-/// Like `Session`, a ClusterSession keeps no thread-affine state between
-/// `Run` calls (thread-local jitter RNG; ambient trace context scoped
-/// inside `Run`), so pooled reuse across OS threads is safe under the
-/// pool's hand-off synchronization — see the invariant note on `Session`.
 class ClusterSession {
  public:
-  explicit ClusterSession(Cluster* cluster, SessionOptions options = {});
+  explicit ClusterSession(Cluster* cluster, SessionOptions options = {})
+      : cluster_(cluster), options_(std::move(options)) {}
 
   ClusterSession(const ClusterSession&) = delete;
   ClusterSession& operator=(const ClusterSession&) = delete;
 
-  Status Run(const std::function<Status(ClusterTransaction&)>& fn);
+  Status Run(const std::function<Status(ClusterTransaction&)>& fn) {
+    return RunWithRetries(cluster_, options_,
+                          cluster_->cluster_metrics().session, stats_, fn);
+  }
 
   const SessionStats& stats() const { return stats_; }
   Cluster* cluster() { return cluster_; }
   const SessionOptions& options() const { return options_; }
 
  private:
-  static bool IsRetryable(const Status& status);
-  void Backoff(int attempt);
-
   Cluster* cluster_;
   SessionOptions options_;
   SessionStats stats_;

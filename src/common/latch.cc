@@ -45,8 +45,6 @@ const char* LatchRankName(LatchRank rank) {
       return "kTraceFlight";
     case LatchRank::kRpcServer:
       return "kRpcServer";
-    case LatchRank::kRpcPool:
-      return "kRpcPool";
     case LatchRank::kMetrics:
       return "kMetrics";
   }

@@ -136,10 +136,6 @@ enum class LatchRank : uint16_t {
   /// leaf: held only to mutate the connection list and counters, never
   /// across a blocking socket call or any call into the engine.
   kRpcServer = 570,
-  /// rpc::SessionPool::mu_ — the idle-session free lists.  A leaf: held
-  /// for checkout/return only; a leased session runs its transaction with
-  /// no pool latch held.
-  kRpcPool = 575,
   /// obs::MetricsRegistry::mu_ — cell registration/lookup (cold path).
   kMetrics = 600,
 };

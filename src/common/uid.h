@@ -43,13 +43,20 @@ struct Uid {
   friend constexpr bool operator!=(Uid a, Uid b) { return a.raw != b.raw; }
   friend constexpr bool operator<(Uid a, Uid b) { return a.raw < b.raw; }
 
+  // Appends instead of `"#" + std::to_string(...)`: GCC 12 inlines that
+  // operator+ into a memcpy it wrongly flags with -Wrestrict (GCC bug
+  // 105329) in every translation unit that formats a uid.
   std::string ToString() const {
     const auto cell = static_cast<unsigned>(raw >> kCellTagShift);
+    std::string out = "#";
     if (cell == 0) {
-      return "#" + std::to_string(raw);
+      out += std::to_string(raw);
+      return out;
     }
-    return "#" + std::to_string(cell) + ":" +
-           std::to_string(raw & kCellLocalMask);
+    out += std::to_string(cell);
+    out += ':';
+    out += std::to_string(raw & kCellLocalMask);
+    return out;
   }
 };
 

@@ -39,6 +39,18 @@ class WalManager;
 /// actually need to be accessed."
 enum class ChangeMode { kImmediate, kDeferred };
 
+/// The `session.*` counters the retry loop (core/session.h) feeds.  Each
+/// `Database` and each `Cluster` resolves one set in its own registry, so
+/// `Cluster::Stats()` sums the per-cell and the cross-cell session paths.
+struct SessionCounters {
+  obs::Counter* commits = nullptr;
+  obs::Counter* retries = nullptr;
+  obs::Counter* failures = nullptr;
+  obs::Counter* backoff_us = nullptr;
+
+  static SessionCounters Resolve(obs::MetricsRegistry& registry);
+};
+
 /// Registry handles for the engine-level hot paths, resolved once by the
 /// `Database` constructor.  Transactions, sessions, read transactions and
 /// the reclaimer increment through these pointers — a registry lookup is a
@@ -50,10 +62,7 @@ struct EngineMetrics {
   obs::Histogram* txn_commit_us = nullptr;
   obs::Histogram* txn_abort_us = nullptr;
   obs::Histogram* txn_journal_size = nullptr;
-  obs::Counter* session_commits = nullptr;
-  obs::Counter* session_retries = nullptr;
-  obs::Counter* session_failures = nullptr;
-  obs::Counter* session_backoff_us = nullptr;
+  SessionCounters session;
   obs::Counter* read_txns = nullptr;
   obs::Counter* reclaim_passes = nullptr;
   obs::Counter* reclaim_zero_passes = nullptr;

@@ -124,21 +124,23 @@ std::string UnescapeStringPayload(const std::string& s) {
   return out;
 }
 
+// Tags are appended, not `"i" + body`: GCC 12 flags that operator+ with a
+// false -Wrestrict (see Uid::ToString).
 std::string EncodeValueInner(const Value& v) {
   switch (v.type()) {
     case ValueType::kNull:
       return "n";
     case ValueType::kInteger:
-      return "i" + std::to_string(v.integer());
+      return std::string("i").append(std::to_string(v.integer()));
     case ValueType::kReal: {
       char buf[64];
       std::snprintf(buf, sizeof(buf), "r%.17g", v.real());
       return buf;
     }
     case ValueType::kString:
-      return "s" + EscapeStringPayload(v.string());
+      return std::string("s").append(EscapeStringPayload(v.string()));
     case ValueType::kRef:
-      return "#" + std::to_string(v.ref().raw);
+      return std::string("#").append(std::to_string(v.ref().raw));
     case ValueType::kSet: {
       std::string out = "{";
       for (size_t i = 0; i < v.set().size(); ++i) {

@@ -6,52 +6,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <thread>
 #include <utility>
 
+#include "core/session.h"
+
 namespace orion::rpc {
-
-namespace {
-
-bool ReadFull(int fd, void* buf, size_t n) {
-  auto* p = static_cast<uint8_t*>(buf);
-  size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::recv(fd, p + got, n - got, 0);
-    if (r == 0) {
-      return false;
-    }
-    if (r < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return false;
-    }
-    got += static_cast<size_t>(r);
-  }
-  return true;
-}
-
-bool WriteAll(int fd, std::string_view data) {
-  size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t r =
-        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (r < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return false;
-    }
-    sent += static_cast<size_t>(r);
-  }
-  return true;
-}
-
-}  // namespace
 
 Result<std::unique_ptr<Client>> Client::Connect(const std::string& host,
                                                 uint16_t port,
@@ -79,32 +40,11 @@ Result<std::unique_ptr<Client>> Client::Connect(const std::string& host,
 }
 
 Client::Client(int fd, ClientOptions options)
-    : fd_(fd),
-      options_(std::move(options)),
-      jitter_state_(reinterpret_cast<uintptr_t>(this) | 1) {}
+    : fd_(fd), options_(std::move(options)) {}
 
 Client::~Client() {
   if (fd_ >= 0) {
     ::close(fd_);
-  }
-}
-
-uint64_t Client::NextJitter() {
-  uint64_t z = (jitter_state_ += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
-void Client::Backoff(int attempt) {
-  // Same shape as Session::Backoff: exponential base, ±50% jitter, so a
-  // fleet of shed clients does not re-storm the server in lockstep.
-  const uint64_t jitter = NextJitter() % 100;  // [0, 100)
-  auto base = options_.backoff_base.count() << std::min(attempt, 12);
-  base = std::min<decltype(base)>(base, options_.backoff_cap.count());
-  const auto us = base / 2 + (base * jitter) / 100;
-  if (us > 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(us));
   }
 }
 
@@ -228,7 +168,9 @@ Result<std::string> Client::Call(const Request& request) {
                             std::move(responses[0].payload));
     }
     ++stats_.retries;
-    Backoff(attempt);
+    // The sessions' backoff (exponential, ±50% jitter), so a fleet of shed
+    // clients does not re-storm the server in lockstep.
+    BackoffSleep(attempt, options_.backoff_base, options_.backoff_cap);
   }
 }
 
@@ -276,7 +218,7 @@ std::vector<Result<std::string>> Client::CallBatch(
     }
     stats_.retries += still.size();
     pending = std::move(still);
-    Backoff(attempt);
+    BackoffSleep(attempt, options_.backoff_base, options_.backoff_cap);
   }
   std::vector<Result<std::string>> results;
   results.reserve(n);

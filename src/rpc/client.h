@@ -8,10 +8,10 @@
 // read, so a batch pays one round-trip instead of N).
 //
 // Retry semantics mirror `Session::Run`: a RETRYABLE wire status —
-// server-side conflict or admission shed — is absorbed by exponential
-// backoff with jitter up to `max_retries`, after which it surfaces as
-// kTimeout.  Any other non-OK status is returned as-is.  `CallBatch`
-// retries only its retryable members.
+// server-side conflict or admission shed — is absorbed by the sessions'
+// jittered exponential backoff (`BackoffSleep`) up to `max_retries`, after
+// which it surfaces as kTimeout.  Any other non-OK status is returned
+// as-is.  `CallBatch` retries only its retryable members.
 //
 // Tracing (§14.6): each attempt captures a child context of the calling
 // thread's ambient trace (zero when untraced), sends it in the frame
@@ -20,8 +20,9 @@
 // same trace id, in the cluster's trace buffer.
 //
 /// Thread-safety: a Client is NOT thread-safe — it owns one socket and
-/// one request-id sequence; create one per thread (the server side pools
-/// sessions, not connections).  Distinct Clients are independent.
+/// one request-id sequence; create one per thread (the server gives each
+/// connection its own thread and session).  Distinct Clients are
+/// independent.
 
 #include <chrono>
 #include <cstdint>
@@ -113,13 +114,10 @@ class Client {
   /// (every subsequent call fails with kInternal).
   Status Flight(const std::vector<const Request*>& requests,
                 std::vector<WireResponse>& responses);
-  void Backoff(int attempt);
-  uint64_t NextJitter();
 
   int fd_;
   ClientOptions options_;
   uint64_t next_request_id_ = 1;
-  uint64_t jitter_state_;
   ClientStats stats_;
   bool broken_ = false;
 };

@@ -13,6 +13,7 @@
 #include <thread>
 #include <utility>
 
+#include "cell/cluster_session.h"
 #include "core/read_transaction.h"
 #include "lang/interpreter.h"
 #include "object/object_manager.h"
@@ -23,9 +24,7 @@
 namespace orion::rpc {
 
 Server::Server(Cluster* cluster, ServerOptions options)
-    : cluster_(cluster),
-      options_(std::move(options)),
-      pool_(cluster, options_.session) {
+    : cluster_(cluster), options_(std::move(options)) {
   obs::MetricsRegistry& reg = cluster_->metrics();
   rm_.connections = &reg.gauge("rpc.connections");
   rm_.in_flight = &reg.gauge("rpc.in_flight");
@@ -171,44 +170,12 @@ void Server::AcceptLoop() {
   }
 }
 
-bool Server::ReadFull(int fd, void* buf, size_t n) {
-  auto* p = static_cast<uint8_t*>(buf);
-  size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::recv(fd, p + got, n - got, 0);
-    if (r == 0) {
-      return false;  // peer closed
-    }
-    if (r < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return false;
-    }
-    got += static_cast<size_t>(r);
-  }
-  return true;
-}
-
-bool Server::WriteAll(int fd, std::string_view data) {
-  size_t sent = 0;
-  while (sent < data.size()) {
-    const ssize_t r =
-        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
-    if (r < 0) {
-      if (errno == EINTR) {
-        continue;
-      }
-      return false;
-    }
-    sent += static_cast<size_t>(r);
-  }
-  return true;
-}
-
 void Server::Serve(Connection* conn) {
-  // One interpreter per connection: `define` bindings persist across the
-  // connection's eval/select requests, and die with it.
+  // One session and one interpreter per connection, both confined to this
+  // thread: the connection's writes run on the session's retry loop, and
+  // `define` bindings persist across its eval/select requests.  Both die
+  // with the connection.
+  ClusterSession session(cluster_, options_.session);
   Interpreter interp(&cluster_->authority());
   uint8_t header[kHeaderSize];
   // Pipelining (§14.3): responses to a burst of requests are coalesced
@@ -282,7 +249,7 @@ void Server::Serve(Connection* conn) {
         obs::TraceRoot root(traced ? &cluster_->trace() : nullptr,
                             "rpc.server", h->request_id, h->trace);
         HandlerResult result =
-            Dispatch(static_cast<Op>(h->code), payload, interp);
+            Dispatch(static_cast<Op>(h->code), payload, session, interp);
         if (result.status != WireStatus::kOk) {
           root.MarkError();
         }
@@ -308,24 +275,25 @@ void Server::Serve(Connection* conn) {
 }
 
 Server::HandlerResult Server::Dispatch(Op op, std::string_view payload,
+                                       ClusterSession& session,
                                        Interpreter& interp) {
   switch (op) {
     case Op::kPing:
       return HandlerResult{};
     case Op::kMake:
-      return HandleMake(payload);
+      return HandleMake(payload, session);
     case Op::kGet:
       return HandleGet(payload);
     case Op::kSet:
-      return HandleSet(payload);
+      return HandleSet(payload, session);
     case Op::kDelete:
-      return HandleDelete(payload);
+      return HandleDelete(payload, session);
     case Op::kSelect:
       return HandleSelect(payload, interp);
     case Op::kEval:
       return HandleEval(payload, interp);
     case Op::kTxn:
-      return HandleTxn(payload);
+      return HandleTxn(payload, session);
   }
   return HandlerResult{WireStatus::kBadRequest, "unknown op"};
 }
@@ -342,7 +310,8 @@ Server::HandlerResult BadRequest(const char* what) {
 
 }  // namespace
 
-Server::HandlerResult Server::HandleMake(std::string_view payload) {
+Server::HandlerResult Server::HandleMake(std::string_view payload,
+                                         ClusterSession& session) {
   Cursor c(payload);
   const std::string cls(c.Bytes());
   const uint32_t n_parents = c.U32();
@@ -369,8 +338,7 @@ Server::HandlerResult Server::HandleMake(std::string_view payload) {
     return BadRequest("malformed make payload");
   }
   Uid out;
-  SessionPool::ClusterLease lease = pool_.AcquireCluster();
-  const Status s = lease->Run([&](ClusterTransaction& ct) -> Status {
+  const Status s = session.Run([&](ClusterTransaction& ct) -> Status {
     ORION_ASSIGN_OR_RETURN(out, ct.Make(cls, parents, attrs));
     return Status::Ok();
   });
@@ -405,7 +373,10 @@ Server::HandlerResult Server::HandleGet(std::string_view payload) {
   return r;
 }
 
-Server::HandlerResult Server::HandleSet(std::string_view payload) {
+// A one-cell set/delete commits on ClusterTransaction's single-cell fast
+// path; a uid whose tag no cell owns is NOT_FOUND from its Participant.
+Server::HandlerResult Server::HandleSet(std::string_view payload,
+                                        ClusterSession& session) {
   Cursor c(payload);
   const Uid uid = UidFromRaw(c.U64());
   const std::string attr(c.Bytes());
@@ -413,35 +384,20 @@ Server::HandlerResult Server::HandleSet(std::string_view payload) {
   if (!c.Done()) {
     return BadRequest("malformed set payload");
   }
-  Result<SessionPool::CellLease> lease = pool_.AcquireCell(CellTagOf(uid));
-  if (!lease.ok()) {
-    return FromStatus(lease.status());
-  }
-  const Status s = (*lease)->Run([&](TransactionContext& txn) {
+  return FromStatus(session.Run([&](ClusterTransaction& txn) {
     return txn.SetAttribute(uid, attr, value);
-  });
-  if (!s.ok()) {
-    return FromStatus(s);
-  }
-  return HandlerResult{};
+  }));
 }
 
-Server::HandlerResult Server::HandleDelete(std::string_view payload) {
+Server::HandlerResult Server::HandleDelete(std::string_view payload,
+                                           ClusterSession& session) {
   Cursor c(payload);
   const Uid uid = UidFromRaw(c.U64());
   if (!c.Done()) {
     return BadRequest("malformed delete payload");
   }
-  Result<SessionPool::CellLease> lease = pool_.AcquireCell(CellTagOf(uid));
-  if (!lease.ok()) {
-    return FromStatus(lease.status());
-  }
-  const Status s =
-      (*lease)->Run([&](TransactionContext& txn) { return txn.Delete(uid); });
-  if (!s.ok()) {
-    return FromStatus(s);
-  }
-  return HandlerResult{};
+  return FromStatus(
+      session.Run([&](ClusterTransaction& txn) { return txn.Delete(uid); }));
 }
 
 Server::HandlerResult Server::HandleSelect(std::string_view payload,
@@ -495,7 +451,8 @@ Server::HandlerResult Server::HandleEval(std::string_view payload,
   return r;
 }
 
-Server::HandlerResult Server::HandleTxn(std::string_view payload) {
+Server::HandlerResult Server::HandleTxn(std::string_view payload,
+                                        ClusterSession& session) {
   // Pre-parse every sub-op before touching the engine, so a malformed
   // sub-payload is kBadRequest (and costs nothing), never a half-run
   // transaction.
@@ -559,8 +516,7 @@ Server::HandlerResult Server::HandleTxn(std::string_view payload) {
   }
 
   std::vector<std::string> results;
-  SessionPool::ClusterLease lease = pool_.AcquireCluster();
-  const Status s = lease->Run([&](ClusterTransaction& ct) -> Status {
+  const Status s = session.Run([&](ClusterTransaction& ct) -> Status {
     // The closure may re-run after a conflict abort; per-attempt results
     // start clean.
     results.clear();

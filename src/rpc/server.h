@@ -2,14 +2,15 @@
 #define ORION_RPC_SERVER_H_
 
 // The RPC front-end (§14): a TCP server speaking the wire.h frame
-// protocol, thread-per-connection, multiplexing wire requests onto the
-// `SessionPool`'s per-cell Session / ClusterSession pools.
+// protocol, thread-per-connection; each connection thread owns one
+// `ClusterSession` and one `Interpreter` and runs its requests on them.
 //
 // Request routing (§14.4):
 //   ping            answered in place
 //   get             lock-free `ReadTransaction` on the owning cell
-//   set, delete     per-cell `Session::Run` on the owning cell
-//   make, txn       `ClusterSession::Run` (placement / cross-cell 2PC)
+//   make, txn,      the connection's `ClusterSession::Run` (placement,
+//   set, delete     cross-cell 2PC; a one-cell write commits on
+//                   `ClusterTransaction`'s single-cell fast path)
 //   select          predicate parsed by the connection's interpreter,
 //                   scattered with `Cluster::Select`
 //   eval            the connection's `lang/` interpreter against the
@@ -46,10 +47,10 @@
 #include "cell/cluster.h"
 #include "common/latch.h"
 #include "core/session.h"
-#include "rpc/session_pool.h"
 #include "rpc/wire.h"
 
 namespace orion {
+class ClusterSession;
 class Interpreter;
 }  // namespace orion
 
@@ -74,8 +75,8 @@ struct ServerOptions {
   /// only when the frame header carries a nonzero trace id, so untraced
   /// calls pay no ring write on the hot path.
   bool trace_all = false;
-  /// Knobs for every pooled server-side session (lock timeout, retry
-  /// budget, backoff, user).
+  /// Knobs for every connection's server-side session (lock timeout,
+  /// retry budget, backoff, user).
   SessionOptions session;
   /// Test hook: every admitted request holds its in-flight token this
   /// long before dispatch, making admission-control shedding
@@ -120,7 +121,6 @@ class Server {
   uint16_t port() const { return port_; }
 
   const RpcMetrics& metrics() const { return rm_; }
-  SessionPool& sessions() { return pool_; }
 
   /// A handler's outcome: the wire status plus either the encoded
   /// response payload (kOk) or the error message.
@@ -138,23 +138,20 @@ class Server {
 
   void AcceptLoop();
   void Serve(Connection* conn);
-  /// Reads exactly `n` bytes; false on EOF/error.
-  static bool ReadFull(int fd, void* buf, size_t n);
-  static bool WriteAll(int fd, std::string_view data);
 
   HandlerResult Dispatch(Op op, std::string_view payload,
-                         Interpreter& interp);
-  HandlerResult HandleMake(std::string_view payload);
+                         ClusterSession& session, Interpreter& interp);
+  HandlerResult HandleMake(std::string_view payload, ClusterSession& session);
   HandlerResult HandleGet(std::string_view payload);
-  HandlerResult HandleSet(std::string_view payload);
-  HandlerResult HandleDelete(std::string_view payload);
+  HandlerResult HandleSet(std::string_view payload, ClusterSession& session);
+  HandlerResult HandleDelete(std::string_view payload,
+                             ClusterSession& session);
   HandlerResult HandleSelect(std::string_view payload, Interpreter& interp);
   HandlerResult HandleEval(std::string_view payload, Interpreter& interp);
-  HandlerResult HandleTxn(std::string_view payload);
+  HandlerResult HandleTxn(std::string_view payload, ClusterSession& session);
 
   Cluster* cluster_;
   ServerOptions options_;
-  SessionPool pool_;
   RpcMetrics rm_;
 
   std::atomic<bool> stop_{false};

@@ -1,6 +1,9 @@
 #include "rpc/wire.h"
 
+#include <sys/socket.h>
+
 #include <bit>
+#include <cerrno>
 #include <cstring>
 
 #include "common/crc32.h"
@@ -98,6 +101,8 @@ const char* WireStatusName(WireStatus status) {
       return "ACCESS_DENIED";
     case WireStatus::kTransactionInvalid:
       return "TRANSACTION_INVALID";
+    case WireStatus::kInternal:
+      return "INTERNAL";
     case WireStatus::kBadRequest:
       return "BAD_REQUEST";
   }
@@ -335,6 +340,41 @@ bool CheckFrameCrc(const uint8_t* header, std::string_view payload,
   const uint32_t have =
       Crc32c(payload.data(), payload.size(), Crc32c(header, kHeaderSize));
   return have == crc;
+}
+
+bool ReadFull(int fd, void* buf, size_t n) {
+  auto* p = static_cast<uint8_t*>(buf);
+  size_t got = 0;
+  while (got < n) {
+    const ssize_t r = ::recv(fd, p + got, n - got, 0);
+    if (r == 0) {
+      return false;  // peer closed
+    }
+    if (r < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      return false;
+    }
+    got += static_cast<size_t>(r);
+  }
+  return true;
+}
+
+bool WriteAll(int fd, std::string_view data) {
+  size_t sent = 0;
+  while (sent < data.size()) {
+    const ssize_t r =
+        ::send(fd, data.data() + sent, data.size() - sent, MSG_NOSIGNAL);
+    if (r < 0) {
+      if (errno == EINTR) {
+        continue;
+      }
+      return false;
+    }
+    sent += static_cast<size_t>(r);
+  }
+  return true;
 }
 
 Request PingRequest() { return Request{Op::kPing, {}}; }

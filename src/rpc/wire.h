@@ -28,9 +28,10 @@
 // (bad magic/version/CRC, oversized or truncated payload) closes it.
 //
 /// Thread-safety: everything in this header is a pure function over its
-/// arguments or a single-owner value type (`Cursor`, `Frame`, `Request`);
-/// nothing here synchronizes, and nothing here is shared between threads
-/// by the rpc layer.
+/// arguments, a single-owner value type (`Cursor`, `Frame`, `Request`), or
+/// a blocking socket helper that touches only the fd it is given; nothing
+/// here synchronizes, and nothing here is shared between threads by the
+/// rpc layer.
 
 #include <cstddef>
 #include <cstdint>
@@ -171,6 +172,11 @@ Result<FrameHeader> DecodeFrameHeader(const uint8_t* header,
 /// True when `crc` (the trailer) matches CRC-32C(header || payload).
 bool CheckFrameCrc(const uint8_t* header, std::string_view payload,
                    uint32_t crc);
+
+/// Blocking socket I/O shared by server and client: reads exactly `n`
+/// bytes / writes all of `data` (EINTR retried); false on EOF or error.
+bool ReadFull(int fd, void* buf, size_t n);
+bool WriteAll(int fd, std::string_view data);
 
 // --- Request builders and response parsers -----------------------------------
 

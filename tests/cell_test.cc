@@ -349,6 +349,96 @@ TEST(CellTwoPhaseCommit, CrossCellTransfersAreAtomicUnderConcurrency) {
   }
 }
 
+// The cluster path counts its retries: every ClusterSession outcome lands in
+// the cluster's own session.* counters, so the Cluster::Stats() deltas equal
+// the sum of the sessions' stats.  Try-locks (lock_timeout = 0) turn every
+// contended acquisition into a retry, and a held X lock makes one session
+// spend its whole budget, so commits, retries and failures are all nonzero.
+TEST(CellSessionMetrics, ClusterSessionOutcomesReachClusterStats) {
+  constexpr int kAccounts = 4;
+  constexpr int kThreads = 4;
+  constexpr int kTransfersPerThread = 25;
+
+  Cluster cluster(2);
+  Fixture fx(cluster);
+  std::vector<Uid> accounts;
+  ClusterSession setup(&cluster);
+  for (int i = 0; i < kAccounts; ++i) {
+    Uid made = kNilUid;
+    ASSERT_TRUE(setup
+                    .Run([&](ClusterTransaction& txn) -> Status {
+                      ORION_ASSIGN_OR_RETURN(
+                          made, txn.Make("Assembly", {},
+                                         {{"Balance", Value::Integer(100)}}));
+                      return Status::Ok();
+                    })
+                    .ok());
+    accounts.push_back(made);
+  }
+  const Cluster::StatsSnapshot base = cluster.Stats();
+
+  SessionOptions opts;
+  opts.lock_timeout = milliseconds(0);
+  opts.max_retries = 3;
+  opts.backoff_base = std::chrono::microseconds(10);
+  opts.backoff_cap = std::chrono::microseconds(200);
+  std::vector<SessionStats> stats(kThreads + 1);
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      ClusterSession session(&cluster, opts);
+      for (int i = 0; i < kTransfersPerThread; ++i) {
+        const Uid from = accounts[(t + i) % kAccounts];
+        const Uid to = accounts[(t + i + 1) % kAccounts];
+        // Exhausted budgets are expected here; the counters must agree
+        // with the sessions either way.
+        (void)session.Run([&](ClusterTransaction& txn) -> Status {
+          ORION_RETURN_IF_ERROR(
+              txn.SetAttribute(from, "Balance", Value::Integer(i)));
+          return txn.SetAttribute(to, "Balance", Value::Integer(i));
+        });
+      }
+      stats[t] = session.stats();
+    });
+  }
+  for (auto& w : workers) {
+    w.join();
+  }
+  {
+    ClusterTransaction holder(&cluster);
+    ASSERT_TRUE(
+        holder.SetAttribute(accounts[0], "Balance", Value::Integer(0)).ok());
+    std::thread blocked([&] {
+      ClusterSession session(&cluster, opts);
+      EXPECT_EQ(session
+                    .Run([&](ClusterTransaction& txn) {
+                      return txn.SetAttribute(accounts[0], "Balance",
+                                              Value::Integer(1));
+                    })
+                    .code(),
+                StatusCode::kTimeout);
+      stats[kThreads] = session.stats();
+    });
+    blocked.join();
+    ASSERT_TRUE(holder.Abort().ok());
+  }
+
+  SessionStats sum;
+  for (const SessionStats& s : stats) {
+    sum.commits += s.commits;
+    sum.retries += s.retries;
+    sum.failures += s.failures;
+  }
+  EXPECT_GT(sum.commits, 0u);
+  EXPECT_GE(sum.retries, static_cast<uint64_t>(opts.max_retries));
+  EXPECT_GE(sum.failures, 1u);
+  const Cluster::StatsSnapshot delta = cluster.Stats().DeltaSince(base);
+  EXPECT_EQ(delta.counters.at("session.commits"), sum.commits);
+  EXPECT_EQ(delta.counters.at("session.retries"), sum.retries);
+  EXPECT_EQ(delta.counters.at("session.failures"), sum.failures);
+  EXPECT_GT(delta.counters.at("session.backoff_us"), 0u);
+}
+
 // DDL fan-out vs pinned readers: a destructive schema change applies to
 // every cell under each cell's §10 fence, while a reader pinned before the
 // DDL keeps resolving the old schema and old values at its timestamp.

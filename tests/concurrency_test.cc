@@ -258,7 +258,7 @@ TEST(ShardedTablesTest, ConcurrentMakesAcrossClasses) {
   std::vector<ClassId> classes;
   for (int t = 0; t < kThreads; ++t) {
     classes.push_back(*db.MakeClass(
-        ClassSpec{.name = "C" + std::to_string(t),
+        ClassSpec{.name = std::string("C").append(std::to_string(t)),
                   .attributes = {WeakAttr("N", "integer")}}));
   }
   constexpr int kPerThread = 100;
@@ -269,7 +269,7 @@ TEST(ShardedTablesTest, ConcurrentMakesAcrossClasses) {
       Session session(&db);
       for (int i = 0; i < kPerThread; ++i) {
         Status s = session.Run([&](TransactionContext& txn) -> Status {
-          return txn.Make("C" + std::to_string(t), {},
+          return txn.Make(std::string("C").append(std::to_string(t)), {},
                           {{"N", Value::Integer(i)}})
               .status();
         });

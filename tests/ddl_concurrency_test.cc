@@ -109,7 +109,7 @@ TEST_F(DdlConcurrencyTest, DdlStormVsDmlHammer) {
   // exactly one parent, so the constraint holds by construction).
   std::thread ddl([this, &ddl_done] {
     for (int i = 0; i < 6; ++i) {
-      const std::string attr = "X" + std::to_string(i);
+      const std::string attr = std::string("X").append(std::to_string(i));
       ASSERT_TRUE(db_.AddAttribute(part_, WeakAttr(attr, "integer")).ok());
       ASSERT_TRUE(db_.DropAttribute(part_, attr).ok());
       if (i % 3 == 0) {
@@ -142,9 +142,8 @@ TEST_F(DdlConcurrencyTest, DdlStormVsDmlHammer) {
   // The storm left the schema where it started: the X_i attributes are
   // gone and Parts is exclusive again.
   for (int i = 0; i < 6; ++i) {
-    EXPECT_FALSE(
-        db_.schema()
-            .ResolveAttribute(part_, "X" + std::to_string(i)).ok());
+    const std::string attr = std::string("X").append(std::to_string(i));
+    EXPECT_FALSE(db_.schema().ResolveAttribute(part_, attr).ok());
   }
   AttributeSpec parts = *db_.schema().ResolveAttribute(node_, "Parts");
   EXPECT_TRUE(parts.composite);

@@ -222,8 +222,10 @@ TEST(RecoveryTest, GroupCommitHardensEveryAcknowledgedCommit) {
         for (int i = 0; i < kPerThread; ++i) {
           auto made = db.Make(
               "Doc", {},
-              {{"Title", Value::String("t" + std::to_string(t) + "." +
-                                       std::to_string(i))}});
+              {{"Title", Value::String(std::string("t")
+                                           .append(std::to_string(t))
+                                           .append(".")
+                                           .append(std::to_string(i)))}});
           ASSERT_TRUE(made.ok());
           per_thread[t].push_back(*made);
         }

@@ -141,6 +141,29 @@ TEST(RpcWireTest, StatusMappingCollapsesConflictsToRetryable) {
             StatusCode::kInvalidArgument);
 }
 
+// Every wire status, op and engine status code has its own name, never
+// the switch's fallback, so no outcome renders as "WireStatus(?)".
+TEST(RpcWireTest, NameTablesCoverEveryValue) {
+  std::set<std::string> names;
+  for (int v = 0; v <= static_cast<int>(WireStatus::kBadRequest); ++v) {
+    const std::string name = WireStatusName(static_cast<WireStatus>(v));
+    EXPECT_EQ(name.find("(?)"), std::string::npos) << "WireStatus " << v;
+    EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
+  }
+  names.clear();
+  for (int v = 0; v <= static_cast<int>(Op::kTxn); ++v) {
+    const std::string name = OpName(static_cast<Op>(v));
+    EXPECT_EQ(name.find("(?)"), std::string::npos) << "Op " << v;
+    EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
+  }
+  names.clear();
+  for (int v = 0; v <= static_cast<int>(StatusCode::kInternal); ++v) {
+    const std::string name(StatusCodeName(static_cast<StatusCode>(v)));
+    EXPECT_NE(name, "Unknown") << "StatusCode " << v;
+    EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
+  }
+}
+
 // --- Loopback round-trips ----------------------------------------------------
 
 TEST(RpcLoopbackTest, FixedOpsRoundTrip) {
@@ -259,6 +282,46 @@ TEST(RpcLoopbackTest, TxnIsAtomicAndSpansCells) {
   const Result<std::vector<Uid>> all = c.Select("Doc", "(= N 3)");
   ASSERT_TRUE(all.ok());
   EXPECT_TRUE(all->empty());
+  server.Stop();
+}
+
+// Writes run on the connection's ClusterSession: a uid whose cell tag no
+// cell owns is refused by the cluster transaction's routing as NOT_FOUND.
+TEST(RpcLoopbackTest, WritesToAnUnownedCellAreNotFound) {
+  std::unique_ptr<Cluster> cluster(NewCluster(2));
+  Server server(cluster.get());
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  Client& c = **client;
+
+  const Uid stray = MakeUid(/*cell=*/7, /*local=*/1);
+  EXPECT_EQ(c.Set(stray, "N", Value::Integer(1)).code(),
+            StatusCode::kNotFound);
+  EXPECT_EQ(c.Delete(stray).code(), StatusCode::kNotFound);
+  EXPECT_EQ(c.stats().retries, 0u);
+  ASSERT_TRUE(c.Ping().ok());
+  server.Stop();
+}
+
+// A one-cell wire set is one ClusterSession commit on the single-cell fast
+// path, and both show in the cluster's merged stats.
+TEST(RpcLoopbackTest, WireSetCommitsOnceOnTheSingleCellFastPath) {
+  std::unique_ptr<Cluster> cluster(NewCluster(2));
+  Server server(cluster.get());
+  ASSERT_TRUE(server.Start().ok());
+  auto client = Client::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  Client& c = **client;
+
+  const Result<Uid> made = c.Make("Doc", {}, {{"N", Value::Integer(1)}});
+  ASSERT_TRUE(made.ok());
+  const Cluster::StatsSnapshot base = cluster->Stats();
+  ASSERT_TRUE(c.Set(*made, "N", Value::Integer(2)).ok());
+  const Cluster::StatsSnapshot delta = cluster->Stats().DeltaSince(base);
+  EXPECT_EQ(delta.counters.at("session.commits"), 1u);
+  EXPECT_EQ(delta.counters.at("cell.txn.single"), 1u);
+  EXPECT_EQ(delta.counters.at("cell.txn.cross"), 0u);
   server.Stop();
 }
 

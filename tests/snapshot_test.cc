@@ -258,8 +258,9 @@ TEST(SnapshotTest, PropertyRandomDatabaseRoundTrips) {
       auto made = db.objects().Make(node, parents, {});
       if (made.ok()) {
         live.push_back(*made);
-        (void)db.objects().SetAttribute(
-            *made, "Tag", Value::String("t" + std::to_string(next() % 10)));
+        const std::string tag = std::string("t").append(
+            std::to_string(next() % 10));
+        (void)db.objects().SetAttribute(*made, "Tag", Value::String(tag));
       }
     }
     const std::string snap = SaveSnapshot(db);

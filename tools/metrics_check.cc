@@ -3,7 +3,7 @@
 //
 //   metrics_check <metrics.prom> <metrics.json> [bench.json...]
 //   metrics_check --trace <trace.json>
-//   metrics_check --cluster <cluster.prom> <cluster.json> <own.json> \
+//   metrics_check --cluster <cluster.prom> <cluster.json> <own.json>
 //                 <cell1.json> [cell2.json...]
 //
 // Default mode checks, in order:
@@ -530,7 +530,7 @@ void CheckTraceExport(const JsonValue& doc) {
   size_t flat = 0;
   size_t index = 0;
   for (const JsonValue& ev : events->array) {
-    const std::string where = "#" + std::to_string(index++);
+    const std::string where = std::string("#").append(std::to_string(index++));
     if (ev.kind != JsonValue::Kind::kObject) {
       Fail("trace event " + where + " is not an object");
     }

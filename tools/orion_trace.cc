@@ -289,7 +289,7 @@ TraceMap GroupEvents(const JsonValue& doc, size_t* flat_count) {
   TraceMap traces;
   size_t index = 0;
   for (const JsonValue& ev : events->array) {
-    const std::string where = "#" + std::to_string(index++);
+    const std::string where = std::string("#").append(std::to_string(index++));
     if (ev.kind != JsonValue::Kind::kObject) {
       Fail("event " + where + " is not an object");
     }
