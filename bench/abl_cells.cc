@@ -19,7 +19,8 @@
 // "within ~10%".
 //
 // Emits BENCH_cells.json; --smoke runs a ~1k-op pass for the sanitizer CI
-// legs (it exercises 2PC commit and abort frees plus the scatter merge).
+// legs (it exercises 2PC commit and abort frees plus SelectNear's pinned
+// per-cell reads).
 
 #include <chrono>
 #include <cstdio>
@@ -298,7 +299,7 @@ double RunBare(int ops_per_thread) {
 // (Cluster::Stats()) in both exposition formats — written in that order,
 // so background-driven counters (reclaimer passes) are monotone from the
 // parts to the merged snapshot.  The cluster trace buffer is exported as
-// Chrome-trace JSON for metrics_check --trace / orion_trace.
+// Chrome-trace JSON for orion_trace.
 void ExportFacade(int ops_per_thread) {
   ClusterFixture fx(2);
   std::vector<std::thread> workers;
@@ -325,7 +326,8 @@ void ExportFacade(int ops_per_thread) {
       << fx.cluster.trace().ToChromeTraceJson();
   std::printf("\nWrote BENCH_cells_cell{1,2}.json, BENCH_cells_own.json, "
               "BENCH_cells_cluster.{prom,json}, BENCH_cells_trace.json "
-              "(2-cell facade export for metrics_check --cluster/--trace).\n");
+              "(2-cell facade export for metrics_check --cluster and "
+              "orion_trace).\n");
 }
 
 void RunSweep(int ops_per_thread) {
@@ -404,7 +406,7 @@ int main(int argc, char** argv) {
   }
   // --smoke: a small pass over every configuration (both workloads, all
   // cell counts, the bare baseline) so the sanitizer legs see 2PC commits,
-  // prepare-refusal aborts, and the scatter merge.
+  // prepare-refusal aborts, and SelectNear's pinned per-cell reads.
   RunSweep(/*ops_per_thread=*/smoke ? 12 : 250);
   ExportFacade(/*ops_per_thread=*/smoke ? 12 : 50);
   return 0;

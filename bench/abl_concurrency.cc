@@ -374,8 +374,8 @@ void RunMixSweep(int ops_per_thread, const char* json_path,
   if (metrics_json_path != nullptr) {
     std::ofstream(metrics_json_path) << last_stats.ToJson();
   }
-  // The last cell's span trees (§13): metrics_check --trace validates the
-  // export's shape and orion_trace proves every tree is connected.
+  // The last cell's span trees (§13): orion_trace validates the export's
+  // shape and proves every tree is connected.
   if (trace_path != nullptr) {
     std::ofstream(trace_path) << last_trace;
   }

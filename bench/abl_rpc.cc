@@ -18,7 +18,7 @@
 // cross-cell wire workload on a 2-cell cluster and export the full
 // observability surface (per-cell registries, the cluster's own registry,
 // the merged facade in both formats, and the trace ring) as BENCH_rpc_*
-// for tools/metrics_check --cluster/--trace and tools/orion_trace.
+// for tools/metrics_check --cluster and tools/orion_trace.
 
 #include <algorithm>
 #include <chrono>
@@ -243,7 +243,8 @@ void ExportFacade(int ops_per_conn) {
       << fx.cluster.trace().ToChromeTraceJson();
   std::printf("\nWrote BENCH_rpc_cell{1,2}.json, BENCH_rpc_own.json, "
               "BENCH_rpc_cluster.{prom,json}, BENCH_rpc_trace.json "
-              "(stopped-server export for metrics_check --cluster/--trace).\n");
+              "(stopped-server export for metrics_check --cluster and "
+              "orion_trace).\n");
 }
 
 void RunSweep(bool smoke) {

@@ -2,7 +2,8 @@
 # CI entry point.  Stages:
 #   release   Release build with -Werror, full test suite (latch checker
 #             compiled out)
-#   debug     Debug build, full suite with the latch-rank checker ON
+#   debug     Debug build with -Werror, full suite with the latch-rank
+#             checker ON
 #   tsan      ThreadSanitizer build, concurrency suites (checker ON via AUTO)
 #   asan      AddressSanitizer build, full suite + smoke benchmark
 #   ubsan     UndefinedBehaviorSanitizer build, full suite
@@ -36,7 +37,9 @@ if [[ "$stage" == "all" || "$stage" == "debug" ]]; then
   # ORION_LATCH_CHECK resolves ON for Debug: every latch acquisition in the
   # whole suite is checked against the DESIGN.md §9 rank order and the
   # global lock-order graph; one inversion anywhere aborts the test.
-  cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug
+  # Warning-free like Release, and -Werror keeps it that way.
+  cmake -B build-debug -S . -DCMAKE_BUILD_TYPE=Debug \
+        -DCMAKE_CXX_FLAGS=-Werror
   cmake --build build-debug -j "$jobs"
   ctest --test-dir build-debug --output-on-failure -j "$jobs"
 fi
@@ -77,8 +80,8 @@ if [[ "$stage" == "all" || "$stage" == "asan" ]]; then
   (cd build-asan && ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
     ./bench/abl_online_ddl --smoke)
   # The §11 cell layer adds cross-cell 2PC (per-cell journals freed on both
-  # commit paths) and the scatter-gather query merge; its smoke exercises
-  # both plus the per-cell reclaimers.
+  # commit paths) and queries that pin one read transaction per cell while
+  # the per-cell reclaimers free trimmed records; its smoke exercises both.
   (cd build-asan && ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
     ./bench/abl_cells --smoke)
   # The §12 WAL moves record payloads from the commit path into the flush
@@ -131,7 +134,6 @@ if [[ "$stage" == "all" || "$stage" == "metrics" ]]; then
     ./tools/metrics_check BENCH_concurrency_metrics.prom \
                           BENCH_concurrency_metrics.json \
                           BENCH_concurrency.json &&
-    ./tools/metrics_check --trace BENCH_concurrency_trace.json &&
     ./tools/orion_trace BENCH_concurrency_trace.json > /dev/null)
   # The §13 facade: abl_cells exports each cell's registry, the cluster's
   # own, and the merged Cluster::Stats() snapshot; --cluster proves the
@@ -143,20 +145,18 @@ if [[ "$stage" == "all" || "$stage" == "metrics" ]]; then
                           BENCH_cells_cluster.json \
                           BENCH_cells_own.json \
                           BENCH_cells_cell1.json BENCH_cells_cell2.json &&
-    ./tools/metrics_check --trace BENCH_cells_trace.json &&
     ./tools/orion_trace BENCH_cells_trace.json > /dev/null)
   # The §14 RPC facade: abl_rpc exports the same per-cell / own / merged
   # snapshot set after the server has STOPPED, so --cluster additionally
   # proves the rpc.* family reconciles (requests == served + shed) and
   # that the in-flight and connection gauges drained to zero (§14.7).
   # Its trace export carries remote-parented "rpc.server" roots (§14.6);
-  # --trace and orion_trace must treat those as roots, not dangling spans.
+  # orion_trace must treat those as roots, not dangling spans.
   (cd build-release && ./bench/abl_rpc --smoke > /dev/null &&
     ./tools/metrics_check --cluster BENCH_rpc_cluster.prom \
                           BENCH_rpc_cluster.json \
                           BENCH_rpc_own.json \
                           BENCH_rpc_cell1.json BENCH_rpc_cell2.json &&
-    ./tools/metrics_check --trace BENCH_rpc_trace.json &&
     ./tools/orion_trace BENCH_rpc_trace.json > /dev/null)
 fi
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <set>
 
+#include "core/read_transaction.h"
 #include "core/recovery.h"
 #include "core/snapshot_codec.h"
 
@@ -19,16 +20,9 @@ Cluster::Cluster(size_t cells, uint32_t objects_per_page,
                                             objects_per_page, trace_opts));
   }
   for (const auto& c : cells_) {
-    Database& db = c->db();
-    db.objects().set_foreign_class_resolver(
+    c->db().objects().set_foreign_class_resolver(
         [this](Uid uid) { return ForeignClassOf(uid); });
-    scatter_.sources.push_back(
-        ScatterSource{&db.objects(), &db.indexes(), &db.records()});
   }
-  scatter_.route = [this](Uid uid) -> size_t {
-    const CellTag tag = CellTagOf(uid);
-    return tag >= 1 && tag <= cells_.size() ? tag - 1 : cells_.size();
-  };
   cm_.session = SessionCounters::Resolve(metrics_);
   cm_.txn_single = &metrics_.counter("cell.txn.single");
   cm_.txn_cross = &metrics_.counter("cell.txn.cross");
@@ -76,8 +70,8 @@ Status Cluster::FanOut(const char* what,
                        const std::function<Status(Database&)>& op) {
   LatchGuard g(ddl_mu_);
   // Authority first: if the DDL is invalid, it fails here with every cell
-  // still identical.  Schema validation is deterministic and schema-only,
-  // so a later cell can only disagree if the replicas diverged.
+  // still identical.  A later cell can still refuse: D1–D3 type changes
+  // also validate that cell's own instances (see the class comment).
   ORION_RETURN_IF_ERROR(op(authority()));
   for (size_t i = 1; i < cells_.size(); ++i) {
     Status s = op(cells_[i]->db());
@@ -152,16 +146,28 @@ Status Cluster::ChangeAttributeType(ClassId cls, const std::string& attr,
   });
 }
 
-std::vector<Uid> Cluster::InstancesOf(ClassId cls) {
-  return ScatterInstancesOf(scatter_, cls);
-}
+// Per-cell parts are joined in ascending tag order.  A uid's top byte is
+// its cell tag, so each sorted part sorts after the previous one and the
+// joined list is sorted and duplicate-free with no merge.
 
-std::vector<Uid> Cluster::InstancesOfDeep(ClassId cls) {
-  return ScatterInstancesOfDeep(scatter_, cls);
+std::vector<Uid> Cluster::InstancesOf(ClassId cls) {
+  std::vector<Uid> out;
+  for (const auto& c : cells_) {
+    const ReadTransaction rt(&c->db());
+    const std::vector<Uid> part = rt.InstancesOf(cls);
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  return out;
 }
 
 Result<std::vector<Uid>> Cluster::Select(ClassId cls, const QueryPtr& expr) {
-  return ScatterSelect(scatter_, cls, expr);
+  std::vector<Uid> out;
+  for (const auto& c : cells_) {
+    const ReadTransaction rt(&c->db());
+    ORION_ASSIGN_OR_RETURN(const std::vector<Uid> part, rt.Select(cls, expr));
+    out.insert(out.end(), part.begin(), part.end());
+  }
+  return out;
 }
 
 Result<std::vector<Uid>> Cluster::SelectNear(Uid near, ClassId cls,
@@ -170,26 +176,7 @@ Result<std::vector<Uid>> Cluster::SelectNear(Uid near, ClassId cls,
   if (owner == nullptr) {
     return Status::NotFound("no cell owns object " + near.ToString());
   }
-  // Committed snapshot at the owner's watermark, like ScatterSelect: the
-  // point of a root-scoped query is running it while *other* sessions
-  // write the cell, so the live extent is off limits.
-  return SelectAt(owner->records(), *owner->objects().schema(), cls, expr,
-                  &owner->indexes(), owner->records().watermark());
-}
-
-Result<std::vector<Uid>> Cluster::ParentsOf(Uid object,
-                                            const TraversalOptions& opts) {
-  return ScatterParentsOf(scatter_, object, opts);
-}
-
-Result<std::vector<Uid>> Cluster::AncestorsOf(Uid object,
-                                              const TraversalOptions& opts) {
-  return ScatterAncestorsOf(scatter_, object, opts);
-}
-
-Result<std::vector<Uid>> Cluster::ComponentsOf(Uid object,
-                                               const TraversalOptions& opts) {
-  return ScatterComponentsOf(scatter_, object, opts);
+  return ReadTransaction(owner).Select(cls, expr);
 }
 
 // --- Durability (DESIGN.md §12) --------------------------------------------

@@ -11,7 +11,7 @@
 #include "common/latch.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "query/scatter.h"
+#include "query/query.h"
 #include "wal/wal.h"
 
 namespace orion {
@@ -39,7 +39,7 @@ struct ClusterMetrics {
 };
 
 /// A root-affine sharded database: N independent cells (tags 1..N), a
-/// routing rule, replicated schema, and scatter-gather queries (§11).
+/// routing rule, replicated schema, and queries joined across cells (§11).
 ///
 /// Placement: new roots round-robin across cells; `make` under a parent is
 /// routed to the parent's cell, so every composite hierarchy is cell-local.
@@ -52,9 +52,10 @@ struct ClusterMetrics {
 /// Cell 1 is the authority: it is always updated first, and an error there
 /// aborts the fan-out with all cells still identical.  A failure in a
 /// *later* cell after the authority succeeded leaves the schema diverged
-/// and is surfaced as kInternal — the §11 replication protocol guarantees
-/// this cannot happen for deterministic DDL, because every cell holds the
-/// same schema and validation is schema-only.
+/// and is surfaced as kInternal.  Validation is not schema-only, so this
+/// can happen: a state-dependent `ChangeAttributeType` (D1–D3) also
+/// checks each cell's own instances, and one cell may refuse what the
+/// authority accepted (DESIGN.md §11.3).
 ///
 /// Thread-safety: construction and destruction are single-threaded; every
 /// other entry point may be called from any session thread.
@@ -110,11 +111,17 @@ class Cluster {
                              bool to_dependent,
                              ChangeMode mode = ChangeMode::kImmediate);
 
-  // --- Scatter-gather queries -------------------------------------------------
+  // --- Queries ---------------------------------------------------------------
+  //
+  // Each reads through one ReadTransaction per cell it touches, so it is
+  // pinned against that cell's reclaimer and takes no locks.  There is no
+  // cross-cell point in time: each cell is read at its own watermark.
+  // Composite edges are cell-local, so §3.1 navigation needs no cluster
+  // entry point: open `ReadTransaction rt(CellOf(uid))` and traverse
+  // `rt.view()`.
 
-  /// Merged direct / deep extents across all cells.
+  /// Merged direct extent of `cls` across all cells.
   std::vector<Uid> InstancesOf(ClassId cls);
-  std::vector<Uid> InstancesOfDeep(ClassId cls);
 
   /// Associative query over every cell's extent (each cell plans locally).
   Result<std::vector<Uid>> Select(ClassId cls, const QueryPtr& expr);
@@ -125,17 +132,8 @@ class Cluster {
   Result<std::vector<Uid>> SelectNear(Uid near, ClassId cls,
                                       const QueryPtr& expr);
 
-  /// §3.1 messages routed/fanned per the scatter layer.
-  Result<std::vector<Uid>> ParentsOf(Uid object,
-                                     const TraversalOptions& opts = {});
-  Result<std::vector<Uid>> AncestorsOf(Uid object,
-                                       const TraversalOptions& opts = {});
-  Result<std::vector<Uid>> ComponentsOf(Uid object,
-                                        const TraversalOptions& opts = {});
-
   obs::MetricsRegistry& metrics() { return metrics_; }
   const ClusterMetrics& cluster_metrics() const { return cm_; }
-  const ScatterView& scatter() const { return scatter_; }
 
   /// §13: the cluster-level trace buffer — cross-cell session roots open
   /// their trace here, so one 2PC commit's spans (per-cell prepares, WAL
@@ -200,7 +198,6 @@ class Cluster {
   /// holds a raw pointer to its WalManager.
   std::vector<std::unique_ptr<wal::WalManager>> wals_;
   std::vector<std::unique_ptr<Cell>> cells_;
-  ScatterView scatter_;
   std::atomic<uint64_t> next_root_{0};
   /// Serializes cluster-wide DDL; held across per-cell fence protocols.
   Latch ddl_mu_{"cluster.ddl", LatchRank::kClusterDdl};

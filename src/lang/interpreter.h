@@ -57,7 +57,7 @@ class Interpreter {
   /// Parses a `(select ...)` predicate expression into a query tree — the
   /// same grammar the `select` form accepts (comparisons, and/or/not,
   /// path, part-of).  Public for callers that plan the query themselves
-  /// (the RPC server parses the predicate here, then scatters it with
+  /// (the RPC server parses the predicate here, then runs it through
   /// `Cluster::Select`); evaluation of embedded values uses this
   /// interpreter's environment.
   Result<QueryPtr> ParseQueryExpr(const Sexpr& expr) {

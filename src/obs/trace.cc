@@ -108,14 +108,29 @@ void TraceBuffer::Record(const char* name, uint64_t start_us,
                          uint64_t parent_id) {
   const uint64_t ticket = next_.fetch_add(1, std::memory_order_relaxed);
   if (ticket >= capacity_ && dropped_counter_ != nullptr) {
-    // This write overwrites the event `capacity_` tickets before it; the
-    // counter tracks exactly the dropped() arithmetic.
+    // This event or the one `capacity_` tickets before it is lost to
+    // wraparound; the counter tracks exactly the dropped() arithmetic.
     dropped_counter_->Inc();
   }
   Slot& slot = slots_[ticket & mask_];
-  // Invalidate, fill, publish: a reader that sees the same nonzero seq on
-  // both sides of its field reads got exactly this ticket's payload.
-  slot.seq.store(0, std::memory_order_release);
+  // Claim the slot exclusively: tickets `t` and `t + capacity` share it.
+  // If another writer holds the slot (the ring lapped during its write) or
+  // a newer ticket already published there, this event is the one lost to
+  // wraparound, so drop it rather than wait.  The acquire CAS orders this
+  // fill after the previous writer's.
+  const uint64_t mine = ticket + 1;
+  uint64_t cur = slot.seq.load(std::memory_order_relaxed);
+  do {
+    if ((cur & kWriting) != 0 || cur > mine) {
+      return;
+    }
+  } while (!slot.seq.compare_exchange_weak(cur, mine | kWriting,
+                                           std::memory_order_acquire,
+                                           std::memory_order_relaxed));
+  // Invalidate, fill, publish: the fence keeps the invalidating seq above
+  // ahead of every field store, so a reader that sees the same published
+  // seq on both sides of its field reads got exactly this ticket's payload.
+  std::atomic_thread_fence(std::memory_order_release);
   slot.name.store(name, std::memory_order_relaxed);
   slot.start_us.store(start_us, std::memory_order_relaxed);
   slot.duration_us.store(duration_us, std::memory_order_relaxed);
@@ -124,7 +139,7 @@ void TraceBuffer::Record(const char* name, uint64_t start_us,
   slot.trace_id.store(ctx.trace_id, std::memory_order_relaxed);
   slot.span_id.store(ctx.span_id, std::memory_order_relaxed);
   slot.parent_id.store(parent_id, std::memory_order_relaxed);
-  slot.seq.store(ticket + 1, std::memory_order_release);
+  slot.seq.store(mine, std::memory_order_release);
 }
 
 void TraceBuffer::CloseTrace(std::vector<TraceEvent> events, bool error,
@@ -170,7 +185,7 @@ std::vector<TraceEvent> TraceBuffer::Snapshot() const {
   for (size_t i = 0; i < capacity_; ++i) {
     const Slot& slot = slots_[i];
     const uint64_t seq_before = slot.seq.load(std::memory_order_acquire);
-    if (seq_before == 0) {
+    if (seq_before == 0 || (seq_before & kWriting) != 0) {
       continue;  // empty or mid-write
     }
     TraceEvent e;
@@ -182,7 +197,10 @@ std::vector<TraceEvent> TraceBuffer::Snapshot() const {
     e.trace_id = slot.trace_id.load(std::memory_order_relaxed);
     e.span_id = slot.span_id.load(std::memory_order_relaxed);
     e.parent_id = slot.parent_id.load(std::memory_order_relaxed);
-    const uint64_t seq_after = slot.seq.load(std::memory_order_acquire);
+    // Orders the field loads before the re-check: a field written by a
+    // later claim makes the re-check see that claim's seq.
+    std::atomic_thread_fence(std::memory_order_acquire);
+    const uint64_t seq_after = slot.seq.load(std::memory_order_relaxed);
     if (seq_after != seq_before || e.name == nullptr) {
       continue;  // overwritten while reading: drop rather than return torn
     }

@@ -85,14 +85,16 @@ struct TraceOptions {
 };
 
 /// A fixed-size lock-free ring of completed spans plus a tail-based flight
-/// recorder of complete span trees.  `Record` claims a ring slot with one
-/// relaxed fetch-add and fills it with relaxed atomic stores bracketed by
-/// a per-slot sequence word (a seqlock), so it is cheap enough to leave
+/// recorder of complete span trees.  `Record` takes a ticket with one
+/// relaxed fetch-add, claims the ticket's slot exclusively with a CAS on
+/// the slot's sequence word, and fills it with relaxed atomic stores
+/// bracketed by that word (a seqlock), so it is cheap enough to leave
 /// enabled under TSan and never blocks.  Old ring events are overwritten
-/// once the ring wraps; `Snapshot` returns only slots it could read
-/// consistently (a slot being overwritten mid-read is skipped, never
-/// returned torn).  The flight recorder is latched (kTraceFlight, a leaf)
-/// but touched once per trace close, never per span.
+/// once the ring wraps; when the ring laps a slot whose writer is still
+/// filling it, the newer event is dropped instead.  `Snapshot` returns
+/// only slots it could read consistently (a slot being overwritten
+/// mid-read is skipped, never returned torn).  The flight recorder is latched (kTraceFlight, a
+/// leaf) but touched once per trace close, never per span.
 class TraceBuffer {
  public:
   /// `capacity` is rounded up to a power of two (minimum 8).
@@ -130,7 +132,7 @@ class TraceBuffer {
 
   /// Chrome-trace ("Trace Event Format") JSON of the flight recorder plus
   /// the current ring — loadable in Perfetto / chrome://tracing, and the
-  /// input of tools/orion_trace and tools/metrics_check --trace.
+  /// input of tools/orion_trace.
   std::string ToChromeTraceJson() const;
 
   /// Total events ever recorded into the ring (>= capacity means the ring
@@ -149,8 +151,10 @@ class TraceBuffer {
   const TraceOptions& options() const { return options_; }
 
  private:
-  /// seq == 0: slot empty or being (re)written; seq == ticket + 1 with both
+  /// seq == 0: slot empty; seq == (ticket + 1) | kWriting: that ticket's
+  /// writer owns the slot and is filling it; seq == ticket + 1 with both
   /// reads equal: the payload belongs to that ticket and is consistent.
+  static constexpr uint64_t kWriting = uint64_t{1} << 63;
   struct Slot {
     std::atomic<uint64_t> seq{0};
     std::atomic<const char*> name{nullptr};

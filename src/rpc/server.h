@@ -12,7 +12,8 @@
 //   set, delete     cross-cell 2PC; a one-cell write commits on
 //                   `ClusterTransaction`'s single-cell fast path)
 //   select          predicate parsed by the connection's interpreter,
-//                   scattered with `Cluster::Select`
+//                   run by `Cluster::Select` (one read transaction per
+//                   cell)
 //   eval            the connection's `lang/` interpreter against the
 //                   authority cell; bindings (`define`) persist for the
 //                   connection's lifetime

@@ -5,6 +5,7 @@
 // interleavings; the Debug latch checker enforces kClusterDdl (80) below
 // every per-cell coordinator.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -502,9 +503,10 @@ TEST(CellDdl, FanOutAppliesEverywhereWhilePinnedReadersSeeOldState) {
   }
 }
 
-// Scatter-gather: extents and associative queries merge across cells, and
-// SelectNear prunes to the owning cell's extent only.
-TEST(CellQueries, ScatterGatherMergesAndSelectNearPrunes) {
+// Extents and associative queries join every cell's results, SelectNear
+// prunes to the owning cell's extent only, and §3.1 navigation runs on a
+// read transaction of the owning cell (composite edges are cell-local).
+TEST(CellQueries, ReadsJoinAcrossCellsAndSelectNearPrunes) {
   Cluster cluster(4);
   Fixture fx(cluster);
   ClusterSession session(&cluster);
@@ -539,18 +541,104 @@ TEST(CellQueries, ScatterGatherMergesAndSelectNearPrunes) {
   EXPECT_EQ(near.size(), 1u);
   EXPECT_EQ(CellTagOf(near[0]), CellTagOf(roots[0]));
 
-  // Navigation through the cluster facade.
-  auto kids = *cluster.ComponentsOf(roots[1]);
+  // Navigation on the owning cell's read transaction.
+  const ReadTransaction rt(cluster.CellOf(roots[1]));
+  auto kids = *rt.ComponentsOf(roots[1]);
   EXPECT_EQ(kids.size(), 3u);
   for (Uid k : kids) {
     EXPECT_EQ(CellTagOf(k), CellTagOf(roots[1]));
-    auto parents = *cluster.ParentsOf(k);
+    auto parents = *rt.ParentsOf(k);
     ASSERT_EQ(parents.size(), 1u);
     EXPECT_EQ(parents[0], roots[1]);
-    auto ancestors = *cluster.AncestorsOf(k);
+    auto ancestors = *AncestorsOf(rt.view(), k);
     ASSERT_EQ(ancestors.size(), 1u);
     EXPECT_EQ(ancestors[0], roots[1]);
   }
+}
+
+// Cluster::Select reads each cell through a pinned ReadTransaction, so the
+// reclaimer cannot trim a state the scan has yet to read.  Two writers
+// keep superseding the roots' records while a thread loops ReclaimOnce on
+// every cell; every Select must still return every root.  An unpinned
+// read at each cell's watermark loses roots here in most calls.
+TEST(CellQueries, SelectSeesEveryRootWhileWritersAndReclaimerRun) {
+  constexpr int kRoots = 512;
+  Cluster cluster(4);
+  Fixture fx(cluster);
+  std::vector<Uid> roots;
+  {
+    ClusterSession session(&cluster);
+    for (int batch = 0; batch < kRoots / 64; ++batch) {
+      std::vector<Uid> made;
+      ASSERT_TRUE(session
+                      .Run([&](ClusterTransaction& txn) -> Status {
+                        made.clear();  // a retried attempt starts over
+                        for (int i = 0; i < 64; ++i) {
+                          ORION_ASSIGN_OR_RETURN(
+                              Uid root,
+                              txn.Make("Part", {},
+                                       {{"N", Value::Integer(i)}}));
+                          made.push_back(root);
+                        }
+                        return Status::Ok();
+                      })
+                      .ok());
+      roots.insert(roots.end(), made.begin(), made.end());
+    }
+  }
+  ASSERT_EQ(roots.size(), static_cast<size_t>(kRoots));
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> commits{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 2; ++w) {
+    threads.emplace_back([&, w] {
+      ClusterSession session(&cluster, ContendedOptions());
+      for (uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        const Uid root = roots[(i * 7 + w * kRoots / 2) % kRoots];
+        const Status s = session.Run([&](ClusterTransaction& txn) {
+          return txn.SetAttribute(
+              root, "N", Value::Integer(static_cast<int64_t>(i % kRoots)));
+        });
+        if (s.ok()) {
+          commits.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      for (size_t tag = 1; tag <= cluster.size(); ++tag) {
+        cluster.cell(static_cast<CellTag>(tag)).db().ReclaimOnce();
+      }
+    }
+  });
+
+  const QueryPtr expr = Compare("N", CompareOp::kLt, Value::Integer(kRoots));
+  const auto deadline = std::chrono::steady_clock::now() + milliseconds(1000);
+  size_t calls = 0;
+  size_t short_calls = 0;
+  size_t fewest = kRoots;
+  while (std::chrono::steady_clock::now() < deadline) {
+    const Result<std::vector<Uid>> hits = cluster.Select(fx.part, expr);
+    if (!hits.ok()) {
+      ADD_FAILURE() << hits.status().message();
+      break;
+    }
+    ++calls;
+    if (hits->size() != static_cast<size_t>(kRoots)) {
+      ++short_calls;
+      fewest = std::min(fewest, hits->size());
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& t : threads) {
+    t.join();
+  }
+  EXPECT_GT(calls, 0u);
+  EXPECT_GT(commits.load(), 0u);
+  EXPECT_EQ(short_calls, 0u) << "of " << calls << " calls; fewest hits "
+                             << fewest;
 }
 
 }  // namespace

@@ -442,7 +442,7 @@ TEST(RecoveryTest, KillAndRestartRoundTripMatchesCommittedState) {
   }
   Cluster cluster(3);
   ASSERT_TRUE(cluster.EnableDurability(dir).ok());
-  // Scatter query across all cells matches the pre-crash committed set.
+  // The extent joined across all cells matches the pre-crash committed set.
   std::vector<Uid> instances = cluster.InstancesOf(doc_cls);
   ASSERT_EQ(instances.size(), expected_titles.size());
   for (Uid u : instances) {

@@ -1,8 +1,8 @@
-// Validates the metrics exposition the bench binaries emit (DESIGN.md §8),
-// plus the §13 trace export and the cluster observability facade.
+// Validates the metrics exposition the bench binaries emit (DESIGN.md §8)
+// and the cluster observability facade (§13.4).  Trace exports are
+// validated by tools/orion_trace.
 //
 //   metrics_check <metrics.prom> <metrics.json> [bench.json...]
-//   metrics_check --trace <trace.json>
 //   metrics_check --cluster <cluster.prom> <cluster.json> <own.json>
 //                 <cell1.json> [cell2.json...]
 //
@@ -17,14 +17,6 @@
 //   3. The two expositions agree: every counter in the JSON appears as a
 //      Prometheus sample with the same value, and vice versa.
 //   4. Any extra bench JSON files parse too (shape check only).
-//
-// --trace validates a TraceBuffer Chrome-trace export: the
-// {"traceEvents": [...]} shape, every event a complete ("X") event with
-// numeric ts/dur and a {trace_id, span_id, parent_id, tag} args block, and
-// — the §13 invariant — every span of every trace reachable from that
-// trace's root through parent_id links (flat trace_id == 0 spans exempt;
-// an "rpc.server" span with an absent parent is a §14.6 adopting root —
-// its parent lives in the client process — and counts as a root).
 //
 // --cluster reconciles a Cluster::Stats() export against the registries it
 // merged: <own.json> is the cluster's own (coordinator) registry and each
@@ -46,235 +38,28 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
-namespace {
+#include "json.h"
 
-[[noreturn]] void Fail(const std::string& message) {
+namespace tools {
+
+void Fail(const std::string& message) {
   std::fprintf(stderr, "metrics_check: FAIL: %s\n", message.c_str());
   std::exit(1);
 }
 
-std::string ReadFile(const char* path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    Fail(std::string("cannot open ") + path);
-  }
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
+}  // namespace tools
 
-// --- Minimal JSON parser ----------------------------------------------------
+namespace {
 
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool b = false;
-  double number = 0;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-
-  const JsonValue* Find(const std::string& key) const {
-    auto it = object.find(key);
-    return it == object.end() ? nullptr : &it->second;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  JsonValue Parse() {
-    JsonValue v = ParseValue();
-    SkipSpace();
-    if (pos_ != text_.size()) {
-      Fail("trailing bytes after JSON document at offset " +
-           std::to_string(pos_));
-    }
-    return v;
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  char Peek() {
-    SkipSpace();
-    if (pos_ >= text_.size()) {
-      Fail("unexpected end of JSON input");
-    }
-    return text_[pos_];
-  }
-
-  void Expect(char c) {
-    if (Peek() != c) {
-      Fail(std::string("expected '") + c + "' at offset " +
-           std::to_string(pos_) + ", found '" + text_[pos_] + "'");
-    }
-    ++pos_;
-  }
-
-  JsonValue ParseValue() {
-    switch (Peek()) {
-      case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
-      case '"': {
-        JsonValue v;
-        v.kind = JsonValue::Kind::kString;
-        v.str = ParseString();
-        return v;
-      }
-      case 't':
-      case 'f':
-        return ParseBool();
-      case 'n':
-        ParseLiteral("null");
-        return JsonValue{};
-      default:
-        return ParseNumber();
-    }
-  }
-
-  void ParseLiteral(const char* lit) {
-    SkipSpace();
-    for (const char* p = lit; *p != '\0'; ++p, ++pos_) {
-      if (pos_ >= text_.size() || text_[pos_] != *p) {
-        Fail(std::string("bad literal, expected ") + lit);
-      }
-    }
-  }
-
-  JsonValue ParseBool() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kBool;
-    if (text_[pos_] == 't') {
-      ParseLiteral("true");
-      v.b = true;
-    } else {
-      ParseLiteral("false");
-      v.b = false;
-    }
-    return v;
-  }
-
-  JsonValue ParseNumber() {
-    SkipSpace();
-    const size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      Fail("bad JSON number at offset " + std::to_string(pos_));
-    }
-    JsonValue v;
-    v.kind = JsonValue::Kind::kNumber;
-    v.number = std::strtod(text_.substr(start, pos_ - start).c_str(), nullptr);
-    return v;
-  }
-
-  std::string ParseString() {
-    Expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) {
-          Fail("unterminated escape in JSON string");
-        }
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'b': out.push_back('\b'); break;
-          case 'f': out.push_back('\f'); break;
-          case 'n': out.push_back('\n'); break;
-          case 'r': out.push_back('\r'); break;
-          case 't': out.push_back('\t'); break;
-          case 'u':
-            if (pos_ + 4 > text_.size()) {
-              Fail("truncated \\u escape");
-            }
-            out.push_back('?');  // exposition never emits non-ASCII
-            pos_ += 4;
-            break;
-          default:
-            Fail(std::string("bad escape \\") + esc);
-        }
-      } else {
-        out.push_back(c);
-      }
-    }
-    if (pos_ >= text_.size()) {
-      Fail("unterminated JSON string");
-    }
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  JsonValue ParseArray() {
-    Expect('[');
-    JsonValue v;
-    v.kind = JsonValue::Kind::kArray;
-    if (Peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.array.push_back(ParseValue());
-      const char c = Peek();
-      ++pos_;
-      if (c == ']') {
-        return v;
-      }
-      if (c != ',') {
-        Fail("expected ',' or ']' in JSON array");
-      }
-    }
-  }
-
-  JsonValue ParseObject() {
-    Expect('{');
-    JsonValue v;
-    v.kind = JsonValue::Kind::kObject;
-    if (Peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      std::string key = ParseString();
-      Expect(':');
-      v.object.emplace(std::move(key), ParseValue());
-      const char c = Peek();
-      ++pos_;
-      if (c == '}') {
-        return v;
-      }
-      if (c != ',') {
-        Fail("expected ',' or '}' in JSON object");
-      }
-    }
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
+using tools::Fail;
+using tools::JsonParser;
+using tools::JsonValue;
+using tools::ReadFile;
 
 // --- Prometheus exposition parser -------------------------------------------
 
@@ -498,103 +283,6 @@ void CrossCheck(const PromDoc& prom, const JsonValue& json) {
   }
 }
 
-// --- §13 trace export validation (--trace) ----------------------------------
-
-uint64_t NumberField(const JsonValue& obj, const char* key,
-                     const std::string& where) {
-  const JsonValue* v = obj.Find(key);
-  if (v == nullptr || v->kind != JsonValue::Kind::kNumber) {
-    Fail("trace event " + where + " lacks numeric field '" + key + "'");
-  }
-  return static_cast<uint64_t>(v->number);
-}
-
-void CheckTraceExport(const JsonValue& doc) {
-  const JsonValue* events = doc.Find("traceEvents");
-  if (doc.kind != JsonValue::Kind::kObject || events == nullptr ||
-      events->kind != JsonValue::Kind::kArray) {
-    Fail("trace export lacks the {\"traceEvents\": [...]} shape");
-  }
-  // trace_id -> (span ids, child [span, parent] links).
-  struct Link {
-    uint64_t span = 0;
-    uint64_t parent = 0;
-    std::string name;
-  };
-  struct Trace {
-    std::map<uint64_t, size_t> spans;  // span_id -> multiplicity
-    std::vector<Link> links;
-    size_t roots = 0;
-  };
-  std::map<uint64_t, Trace> traces;
-  size_t flat = 0;
-  size_t index = 0;
-  for (const JsonValue& ev : events->array) {
-    const std::string where = std::string("#").append(std::to_string(index++));
-    if (ev.kind != JsonValue::Kind::kObject) {
-      Fail("trace event " + where + " is not an object");
-    }
-    const JsonValue* name = ev.Find("name");
-    const JsonValue* ph = ev.Find("ph");
-    if (name == nullptr || name->kind != JsonValue::Kind::kString ||
-        name->str.empty()) {
-      Fail("trace event " + where + " lacks a string name");
-    }
-    if (ph == nullptr || ph->str != "X") {
-      Fail("trace event " + where + " is not a complete ('X') event");
-    }
-    NumberField(ev, "ts", where);
-    NumberField(ev, "dur", where);
-    const JsonValue* args = ev.Find("args");
-    if (args == nullptr || args->kind != JsonValue::Kind::kObject) {
-      Fail("trace event " + where + " lacks an args object");
-    }
-    const uint64_t trace_id = NumberField(*args, "trace_id", where);
-    const uint64_t span_id = NumberField(*args, "span_id", where);
-    const uint64_t parent_id = NumberField(*args, "parent_id", where);
-    NumberField(*args, "tag", where);
-    if (trace_id == 0) {
-      ++flat;
-      continue;
-    }
-    if (span_id == 0) {
-      Fail("trace event " + where + " has trace_id but span_id 0");
-    }
-    Trace& t = traces[trace_id];
-    ++t.spans[span_id];
-    if (parent_id == 0) {
-      ++t.roots;
-    } else {
-      t.links.push_back(Link{span_id, parent_id, name->str});
-    }
-  }
-  size_t spans = 0;
-  for (auto& [id, t] : traces) {
-    for (const Link& link : t.links) {
-      if (t.spans.count(link.parent) == 0) {
-        // §14.6 carve-out: an "rpc.server" span with an absent parent is
-        // an adopting root — its parent is the client's "rpc.call" span
-        // in another process's buffer, not a lost link.
-        if (link.name == "rpc.server") {
-          ++t.roots;  // counted into `spans` with the other roots below
-          continue;
-        }
-        Fail("trace " + std::to_string(id) + ": span " +
-             std::to_string(link.span) + " links to missing parent " +
-             std::to_string(link.parent));
-      }
-      ++spans;
-    }
-    if (t.roots == 0) {
-      Fail("trace " + std::to_string(id) + " has no root span");
-    }
-    spans += t.roots;
-  }
-  std::printf(
-      "metrics_check: trace OK (%zu traces, %zu spans, %zu flat)\n",
-      traces.size(), spans, flat);
-}
-
 // --- Cluster facade reconciliation (--cluster) ------------------------------
 
 const JsonValue& Section(const JsonValue& doc, const char* key,
@@ -766,14 +454,6 @@ void CheckCluster(const PromDoc& prom, const JsonValue& cluster,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc >= 2 && std::string(argv[1]) == "--trace") {
-    if (argc != 3) {
-      std::fprintf(stderr, "usage: %s --trace <trace.json>\n", argv[0]);
-      return 2;
-    }
-    CheckTraceExport(JsonParser(ReadFile(argv[2])).Parse());
-    return 0;
-  }
   if (argc >= 2 && std::string(argv[1]) == "--cluster") {
     if (argc < 6) {
       std::fprintf(stderr,
@@ -804,10 +484,9 @@ int main(int argc, char** argv) {
   if (argc < 3) {
     std::fprintf(stderr,
                  "usage: %s <metrics.prom> <metrics.json> [bench.json...]\n"
-                 "       %s --trace <trace.json>\n"
                  "       %s --cluster <cluster.prom> <cluster.json> "
                  "<own.json> <cell1.json> [cell2.json...]\n",
-                 argv[0], argv[0], argv[0]);
+                 argv[0], argv[0]);
     return 2;
   }
   const PromDoc prom = ParsePrometheus(ReadFile(argv[1]));

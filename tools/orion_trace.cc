@@ -6,7 +6,10 @@
 // Groups the "traceEvents" complete events by args.trace_id, rebuilds each
 // trace's span tree from span_id/parent_id, and prints it indented (one
 // trace, or all of them).  Flat spans (trace_id == 0 — subsystems recorded
-// outside any session) are counted and skipped.
+// outside any session) are counted and skipped.  Every event must be a
+// complete ("X") event with a non-empty name, numeric ts/dur/tid and a
+// {trace_id, span_id, parent_id, tag} args block; a span inside a trace
+// must have a nonzero span_id.
 //
 // Connectivity is the §13 export invariant this tool enforces: every span
 // must either be a root (parent_id == 0) or name a parent present in the
@@ -19,242 +22,34 @@
 // Exit code 1 on the first disconnected trace.
 //
 // Standalone by design, like the other tools/ binaries: no engine
-// libraries, its own minimal JSON parser.
+// libraries; JSON is read by the tools' own parser (tools/json.h).
 
 #include <algorithm>
-#include <cctype>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
-namespace {
+#include "json.h"
 
-[[noreturn]] void Fail(const std::string& message) {
+namespace tools {
+
+void Fail(const std::string& message) {
   std::fprintf(stderr, "orion_trace: FAIL: %s\n", message.c_str());
   std::exit(1);
 }
 
-std::string ReadFile(const char* path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    Fail(std::string("cannot open ") + path);
-  }
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
-}
+}  // namespace tools
 
-// --- Minimal JSON parser (same dialect as tools/metrics_check) --------------
+namespace {
 
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool b = false;
-  double number = 0;
-  std::string str;
-  std::vector<JsonValue> array;
-  std::map<std::string, JsonValue> object;
-
-  const JsonValue* Find(const std::string& key) const {
-    auto it = object.find(key);
-    return it == object.end() ? nullptr : &it->second;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  JsonValue Parse() {
-    JsonValue v = ParseValue();
-    SkipSpace();
-    if (pos_ != text_.size()) {
-      Fail("trailing bytes after JSON document at offset " +
-           std::to_string(pos_));
-    }
-    return v;
-  }
-
- private:
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  char Peek() {
-    SkipSpace();
-    if (pos_ >= text_.size()) {
-      Fail("unexpected end of JSON input");
-    }
-    return text_[pos_];
-  }
-
-  void Expect(char c) {
-    if (Peek() != c) {
-      Fail(std::string("expected '") + c + "' at offset " +
-           std::to_string(pos_));
-    }
-    ++pos_;
-  }
-
-  JsonValue ParseValue() {
-    switch (Peek()) {
-      case '{':
-        return ParseObject();
-      case '[':
-        return ParseArray();
-      case '"': {
-        JsonValue v;
-        v.kind = JsonValue::Kind::kString;
-        v.str = ParseString();
-        return v;
-      }
-      case 't':
-      case 'f':
-        return ParseBool();
-      case 'n':
-        ParseLiteral("null");
-        return JsonValue{};
-      default:
-        return ParseNumber();
-    }
-  }
-
-  void ParseLiteral(const char* lit) {
-    SkipSpace();
-    for (const char* p = lit; *p != '\0'; ++p, ++pos_) {
-      if (pos_ >= text_.size() || text_[pos_] != *p) {
-        Fail(std::string("bad literal, expected ") + lit);
-      }
-    }
-  }
-
-  JsonValue ParseBool() {
-    JsonValue v;
-    v.kind = JsonValue::Kind::kBool;
-    if (text_[pos_] == 't') {
-      ParseLiteral("true");
-      v.b = true;
-    } else {
-      ParseLiteral("false");
-      v.b = false;
-    }
-    return v;
-  }
-
-  JsonValue ParseNumber() {
-    SkipSpace();
-    const size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) {
-      Fail("bad JSON number at offset " + std::to_string(pos_));
-    }
-    JsonValue v;
-    v.kind = JsonValue::Kind::kNumber;
-    v.number = std::strtod(text_.substr(start, pos_ - start).c_str(), nullptr);
-    return v;
-  }
-
-  std::string ParseString() {
-    Expect('"');
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\') {
-        if (pos_ >= text_.size()) {
-          Fail("unterminated escape in JSON string");
-        }
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case '"': out.push_back('"'); break;
-          case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
-          case 'b': out.push_back('\b'); break;
-          case 'f': out.push_back('\f'); break;
-          case 'n': out.push_back('\n'); break;
-          case 'r': out.push_back('\r'); break;
-          case 't': out.push_back('\t'); break;
-          case 'u':
-            if (pos_ + 4 > text_.size()) {
-              Fail("truncated \\u escape");
-            }
-            out.push_back('?');  // the exporter never emits non-ASCII
-            pos_ += 4;
-            break;
-          default:
-            Fail(std::string("bad escape \\") + esc);
-        }
-      } else {
-        out.push_back(c);
-      }
-    }
-    if (pos_ >= text_.size()) {
-      Fail("unterminated JSON string");
-    }
-    ++pos_;  // closing quote
-    return out;
-  }
-
-  JsonValue ParseArray() {
-    Expect('[');
-    JsonValue v;
-    v.kind = JsonValue::Kind::kArray;
-    if (Peek() == ']') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      v.array.push_back(ParseValue());
-      const char c = Peek();
-      ++pos_;
-      if (c == ']') {
-        return v;
-      }
-      if (c != ',') {
-        Fail("expected ',' or ']' in JSON array");
-      }
-    }
-  }
-
-  JsonValue ParseObject() {
-    Expect('{');
-    JsonValue v;
-    v.kind = JsonValue::Kind::kObject;
-    if (Peek() == '}') {
-      ++pos_;
-      return v;
-    }
-    while (true) {
-      std::string key = ParseString();
-      Expect(':');
-      v.object.emplace(std::move(key), ParseValue());
-      const char c = Peek();
-      ++pos_;
-      if (c == '}') {
-        return v;
-      }
-      if (c != ',') {
-        Fail("expected ',' or '}' in JSON object");
-      }
-    }
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-};
+using tools::Fail;
+using tools::JsonParser;
+using tools::JsonValue;
+using tools::ReadFile;
 
 // --- Span trees -------------------------------------------------------------
 
@@ -296,7 +91,8 @@ TraceMap GroupEvents(const JsonValue& doc, size_t* flat_count) {
     const JsonValue* name = ev.Find("name");
     const JsonValue* ph = ev.Find("ph");
     const JsonValue* args = ev.Find("args");
-    if (name == nullptr || name->kind != JsonValue::Kind::kString) {
+    if (name == nullptr || name->kind != JsonValue::Kind::kString ||
+        name->str.empty()) {
       Fail("event " + where + " lacks a string name");
     }
     if (ph == nullptr || ph->str != "X") {
@@ -317,6 +113,9 @@ TraceMap GroupEvents(const JsonValue& doc, size_t* flat_count) {
     if (trace_id == 0) {
       ++*flat_count;
       continue;
+    }
+    if (row.span_id == 0) {
+      Fail("event " + where + " has trace_id but span_id 0");
     }
     traces[trace_id].push_back(std::move(row));
   }
